@@ -59,7 +59,6 @@ func BenchmarkFig8_LatencyCurves(b *testing.B) {
 // the deflection schemes falling back to independent runs).
 func BenchmarkFig8_LatencyCurvesShared(b *testing.B) {
 	s := benchScale()
-	s.WarmupShare = true
 	for i := 0; i < b.N; i++ {
 		p, err := plan.New(plan.Options{Workers: s.Workers, WarmupShare: true})
 		if err != nil {
@@ -79,7 +78,6 @@ func BenchmarkFig8_LatencyCurvesShared(b *testing.B) {
 func planFigs(b *testing.B, dir string, share bool) *plan.Planner {
 	b.Helper()
 	s := benchScale()
-	s.WarmupShare = share
 	p, err := plan.New(plan.Options{Workers: s.Workers, WarmupShare: share, CacheDir: dir})
 	if err != nil {
 		b.Fatal(err)

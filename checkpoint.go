@@ -17,22 +17,31 @@ import (
 // Config.CheckpointPath is set but Config.CheckpointEvery is not.
 const DefaultCheckpointEvery int64 = 5000
 
-// CheckpointHash identifies the configuration a Sim-level checkpoint
-// binds to: the canonical JSON encoding of the Config with the shard
-// count zeroed. Shards is purely a speed knob with byte-identical
-// results, so a checkpoint written at any shard count restores at any
-// other; every semantic field participates in the hash, and restoring
-// under a different configuration fails with
-// checkpoint.ErrConfigMismatch.
-func (c Config) CheckpointHash() uint64 {
+// CanonicalJSON is the canonical encoding of the Config's semantics,
+// the one encoding every content address derives from (checkpoint
+// binding, result-cache keys, planner keys): the JSON encoding with
+// the shard count zeroed. Shards is purely a speed knob with
+// byte-identical results, and the operational fields (checkpoint
+// paths, instrumentation, telemetry) are excluded by the Config's own
+// JSON contract, so two configs encode equally exactly when they
+// produce the same result bytes.
+func (c Config) CanonicalJSON() []byte {
 	c.Shards = 0
-	c.Instrument = nil
 	b, err := json.Marshal(c)
 	if err != nil {
 		// Config is a flat struct of basic types; Marshal cannot fail.
-		panic("seec: config hash: " + err.Error())
+		panic("seec: canonical config: " + err.Error())
 	}
-	return rng.NewSeedHash(0x5EECC4EC).String(string(b)).Seed()
+	return b
+}
+
+// CheckpointHash identifies the configuration a Sim-level checkpoint
+// binds to: a hash of CanonicalJSON. A checkpoint written at any shard
+// count restores at any other; every semantic field participates in
+// the hash, and restoring under a different configuration fails with
+// checkpoint.ErrConfigMismatch.
+func (c Config) CheckpointHash() uint64 {
+	return rng.NewSeedHash(0x5EECC4EC).String(string(c.CanonicalJSON())).Seed()
 }
 
 // SaveCheckpoint writes the complete simulation state to w: network,

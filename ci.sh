@@ -39,25 +39,35 @@ go test -run 'TestStatusEndpointSmoke' -timeout 10m ./cmd/figures
 # pure cache hit (zero simulation cycles) on resubmission.
 GOMAXPROCS=4 go test -race -timeout 10m ./internal/serve/chaostest
 go test -run 'TestSeecdCrashRestartResume' -timeout 10m ./cmd/seecd
+# One dispatcher: every generator sweep goes through internal/plan, so
+# the experiment package must not reach for the worker pool itself.
+if go list -f '{{.Imports}}' ./internal/exp | grep -q 'seec/internal/runner'; then
+    echo "ci: internal/exp imports internal/runner; dispatch through plan.Run/plan.Map" >&2
+    exit 1
+fi
 # Planner warm-cache gate: the same figure run twice against one cache
 # directory must simulate everything the first time, nothing the second
 # time, and print byte-identical tables both times — the end-to-end
-# contract of the memoizing sweep planner (DESIGN.md §13).
-PLANCACHE=$(mktemp -d)
-go run ./cmd/figures -fig table1 -scale quick -cache-dir "$PLANCACHE" \
-    > "$PLANCACHE/run1.out" 2> "$PLANCACHE/run1.err"
-go run ./cmd/figures -fig table1 -scale quick -cache-dir "$PLANCACHE" \
-    > "$PLANCACHE/run2.out" 2> "$PLANCACHE/run2.err"
-grep -q 'simulated=0' "$PLANCACHE/run2.err" || {
-    echo "ci: warm planner cache still simulated jobs:" >&2
-    cat "$PLANCACHE/run2.err" >&2
-    exit 1
-}
-cmp "$PLANCACHE/run1.out" "$PLANCACHE/run2.out" || {
-    echo "ci: warm-cache figures output differs from cold run" >&2
-    exit 1
-}
-rm -rf "$PLANCACHE"
+# contract of the memoizing sweep planner (DESIGN.md §13). Table 1
+# covers synthetic runs and derived measurements; Fig. 14 covers
+# application runs dispatched as plan.Map cells.
+for FIG in table1 14; do
+    PLANCACHE=$(mktemp -d)
+    go run ./cmd/figures -fig "$FIG" -scale quick -cache-dir "$PLANCACHE" \
+        > "$PLANCACHE/run1.out" 2> "$PLANCACHE/run1.err"
+    go run ./cmd/figures -fig "$FIG" -scale quick -cache-dir "$PLANCACHE" \
+        > "$PLANCACHE/run2.out" 2> "$PLANCACHE/run2.err"
+    grep -q 'simulated=0' "$PLANCACHE/run2.err" || {
+        echo "ci: warm planner cache still simulated jobs (-fig $FIG):" >&2
+        cat "$PLANCACHE/run2.err" >&2
+        exit 1
+    }
+    cmp "$PLANCACHE/run1.out" "$PLANCACHE/run2.out" || {
+        echo "ci: warm-cache figures output differs from cold run (-fig $FIG)" >&2
+        exit 1
+    }
+    rm -rf "$PLANCACHE"
+done
 # Fuzz smoke: a few seconds per fuzzer over the parsers and invariants
 # that take arbitrary input (fault specs, histograms, traffic
 # destinations), plus the shard count fuzzed against serial output.

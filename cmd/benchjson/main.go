@@ -14,11 +14,16 @@
 // without parsing the text format again, and a stale record is
 // self-describing about when and where it was taken.
 //
+// Repeated samples of one benchmark (`go test -count N`) are all kept:
+// ns_op is their median, with the min, max, sample count and every
+// sample recorded beside it. The other per-line metrics come from the
+// last sample.
+//
 // With -compare old.json the fresh run (still read as bench text on
 // stdin) is instead diffed against a previously saved record: one line
 // per benchmark with ns/op and allocs/op deltas, so `make benchdiff`
 // answers "did this commit move the hot path" without eyeballing two
-// JSON files.
+// JSON files. Both sides compare by median ns/op.
 package main
 
 import (
@@ -26,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -39,7 +45,13 @@ import (
 // (absent when it was 1) — benchmarks like BenchmarkStepSharded tune
 // it per run, so a single process-global number would be wrong.
 type result struct {
-	NsOp       float64 `json:"ns_op"`
+	NsOp float64 `json:"ns_op"` // median over Samples
+	// NsOpMin, NsOpMax and N summarize the repeated samples; Samples
+	// keeps each one in input order.
+	NsOpMin    float64   `json:"ns_op_min"`
+	NsOpMax    float64   `json:"ns_op_max"`
+	N          int       `json:"n"`
+	Samples    []float64 `json:"samples"`
 	BOp        float64 `json:"b_op,omitempty"`
 	AllocsOp   float64 `json:"allocs_op,omitempty"`
 	Iters      int64   `json:"iters"`
@@ -77,6 +89,37 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: -fail-above needs -compare")
 		os.Exit(2)
 	}
+	doc, err := parse(os.Stdin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+	if *compare != "" {
+		regressed, err := printDiff(os.Stdout, *compare, doc, *failAbove)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		if len(regressed) > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed past the %+.1f%% gate:\n", len(regressed), *failAbove)
+			for _, r := range regressed {
+				fmt.Fprintf(os.Stderr, "  %s\n", r)
+			}
+			os.Exit(1)
+		}
+		return
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// parse reads `go test -bench` text and folds it into a record, one
+// entry per benchmark name with every repeated sample kept.
+func parse(r io.Reader) (record, error) {
 	doc := record{
 		Meta: meta{
 			Timestamp: time.Now().UTC().Format(time.RFC3339),
@@ -86,7 +129,7 @@ func main() {
 	}
 	out := doc.Benchmarks
 	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
@@ -136,33 +179,21 @@ func main() {
 		if pkg != "" {
 			name = pkg + "." + name
 		}
+		r.Samples = append(out[name].Samples, r.NsOp)
 		out[name] = r
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	if *compare != "" {
-		regressed, err := printDiff(os.Stdout, *compare, doc, *failAbove)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+	for name, r := range out {
+		sorted := append([]float64(nil), r.Samples...)
+		sort.Float64s(sorted)
+		r.N = len(sorted)
+		r.NsOpMin, r.NsOpMax = sorted[0], sorted[r.N-1]
+		r.NsOp = sorted[r.N/2]
+		if r.N%2 == 0 {
+			r.NsOp = (sorted[r.N/2-1] + sorted[r.N/2]) / 2
 		}
-		if len(regressed) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed past the %+.1f%% gate:\n", len(regressed), *failAbove)
-			for _, r := range regressed {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
-		}
-		return
+		out[name] = r
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
+	return doc, sc.Err()
 }
 
 // printDiff loads the saved record at oldPath and prints one line per
@@ -173,7 +204,7 @@ func main() {
 // failAbove > 0, benchmarks whose ns/op grew by more than that
 // percentage come back as regression descriptions for the caller's
 // exit-status gate.
-func printDiff(w *os.File, oldPath string, fresh record, failAbove float64) ([]string, error) {
+func printDiff(w io.Writer, oldPath string, fresh record, failAbove float64) ([]string, error) {
 	data, err := os.ReadFile(oldPath)
 	if err != nil {
 		return nil, err

@@ -42,7 +42,6 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "wall-time budget per simulation cell; cells past it render as error cells (0 = unbounded)")
 	maxFailures := flag.Int("max-failures", 0, "cancel a figure's remaining cells after this many failures (0 = drain everything, report at the end)")
 	warmupShare := flag.Bool("warmup-share", false, "amortize warmup across rate sweeps: warm each curve once, checkpoint in memory, fork every rate point from the shared warm state; changes the sampling plan, so numbers differ statistically from the default path")
-	planOn := flag.Bool("plan", true, "compile each figure's cells into a reuse-aware schedule (memoizing sweep planner): in-batch dedup, content-addressed caching and cost-model dispatch; output is byte-identical with planning on or off")
 	cacheDir := flag.String("cache-dir", "", "persist simulation results in this content-addressed cache directory (the seecd store layout); warm re-runs resolve from it without simulating")
 	noReuse := flag.Bool("no-reuse", false, "keep the planner's cost-model scheduling but disable dedup and caching, so every cell simulates (A/B baseline)")
 	statusAddr := flag.String("status", "", "serve live sweep telemetry over HTTP on this address (/status, /metrics, /debug/pprof); \":0\" picks a free port, printed on stderr")
@@ -67,8 +66,6 @@ func main() {
 		usage("-watchdog %d: the stall threshold must be non-negative", *watchdogWin)
 	case *progress < 0:
 		usage("-progress %v: must be non-negative", *progress)
-	case !*planOn && (*cacheDir != "" || *noReuse):
-		usage("-cache-dir and -no-reuse need the planner; drop -plan=false")
 	}
 
 	if *cpuprofile != "" {
@@ -111,9 +108,15 @@ func main() {
 		usage("unknown scale %q", *scale)
 	}
 	sc.Workers = *jobs
-	sc.JobTimeout = *jobTimeout
-	sc.MaxFailures = *maxFailures
-	sc.WarmupShare = *warmupShare
+	// The sweep planner owns the pool knobs; it is opened below, once
+	// the worker and shard budget is final.
+	po := plan.Options{
+		JobTimeout:  *jobTimeout,
+		MaxFailures: *maxFailures,
+		WarmupShare: *warmupShare,
+		NoReuse:     *noReuse,
+		CacheDir:    *cacheDir,
+	}
 
 	// Live sweep telemetry: event bus + aggregator, optionally served
 	// over HTTP and/or logged as JSONL. Pure observation — tables are
@@ -128,17 +131,18 @@ func main() {
 		if addr := tel.Addr(); addr != "" {
 			fmt.Fprintf(os.Stderr, "figures: telemetry: serving /status, /metrics and /debug/pprof on http://%s\n", addr)
 		}
-		sc.SweepEvents = tel.Bus
+		po.Bus = tel.Bus
+		po.Agg = tel.Agg
 		sc.RunEvents = tel.Hook()
 	}
 	if *progress > 0 {
-		sc.ProgressEvery = *progress
+		po.ProgressEvery = *progress
 		if tel != nil {
-			sc.Progress = func(done, total int) {
+			po.Progress = func(done, total int) {
 				fmt.Fprintf(os.Stderr, "figures: %s\n", tel.ProgressLine())
 			}
 		} else {
-			sc.Progress = func(done, total int) {
+			po.Progress = func(done, total int) {
 				fmt.Fprintf(os.Stderr, "figures: jobs %d/%d done\n", done, total)
 			}
 		}
@@ -158,9 +162,13 @@ func main() {
 	}
 	if inst.Enabled() {
 		// File-producing instrumentation gets one numbered output set
-		// per simulation; serialize so the numbering is deterministic.
-		// The watchdog alone writes no per-run files (snapshots share
-		// stderr via single atomic writes), so it runs at any -j.
+		// per simulation; serialize so the numbering follows the
+		// planner's deterministic dispatch order. The watchdog alone
+		// writes no per-run files (snapshots share stderr via single
+		// atomic writes), so it runs at any -j. Either way every job
+		// must execute to run its hook — a cache hit executes nothing —
+		// so instrumented runs plan with reuse off.
+		po.NoReuse = true
 		if inst.TracePath != "" || inst.EventsPath != "" || inst.MetricsPath != "" {
 			sc.Workers = 1
 			if *jobs > 1 {
@@ -196,36 +204,13 @@ func main() {
 		}
 	}
 
-	// The sweep planner: constructed after the scale is final so its
-	// worker pool, shard budget and telemetry wiring match the cells it
-	// replaces. Scale.planner() ignores it while file-producing
-	// instrumentation is attached (cache hits execute nothing, which
-	// would drop trace artifacts).
-	var planner *plan.Planner
-	if *planOn {
-		po := plan.Options{
-			Workers:       sc.Workers,
-			Shards:        sc.Shards,
-			JobTimeout:    sc.JobTimeout,
-			MaxFailures:   sc.MaxFailures,
-			WarmupShare:   sc.WarmupShare,
-			NoReuse:       *noReuse,
-			CacheDir:      *cacheDir,
-			Bus:           sc.SweepEvents,
-			Progress:      sc.Progress,
-			ProgressEvery: sc.ProgressEvery,
-		}
-		if tel != nil {
-			po.Agg = tel.Agg
-		}
-		p, err := plan.New(po)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: plan: %v\n", err)
-			os.Exit(1)
-		}
-		planner = p
-		sc.Planner = p
+	po.Workers, po.Shards = sc.Workers, sc.Shards
+	planner, err := plan.New(po)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: plan: %v\n", err)
+		os.Exit(1)
 	}
+	sc.Planner = planner
 
 	gens := map[string]func() []*exp.Table{
 		"7":          func() []*exp.Table { return []*exp.Table{exp.Fig7()} },
@@ -269,15 +254,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[fig %s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
-	if planner != nil {
-		st := planner.Stats()
-		fmt.Fprintf(os.Stderr,
-			"figures: plan: jobs=%d reused=%d simulated=%d families=%d warmup-saved=%d fallbacks=%d quarantined=%d\n",
-			st.Jobs, st.Reused(), st.Simulated, st.WarmupFamilies,
-			st.WarmupCyclesSaved, st.WarmupFallbacks, st.Quarantined)
-		if err := planner.WriteManifest("figures", os.Args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: plan manifest: %v\n", err)
-		}
+	st := planner.Stats()
+	fmt.Fprintf(os.Stderr,
+		"figures: plan: jobs=%d reused=%d simulated=%d families=%d warmup-saved=%d fallbacks=%d quarantined=%d\n",
+		st.Jobs, st.Reused(), st.Simulated, st.WarmupFamilies,
+		st.WarmupCyclesSaved, st.WarmupFallbacks, st.Quarantined)
+	if err := planner.WriteManifest("figures", os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "figures: plan manifest: %v\n", err)
 	}
 }
 

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -110,5 +112,43 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		if err := cmd.Run(); err == nil {
 			t.Errorf("figures %v unexpectedly succeeded", args)
 		}
+	}
+}
+
+// TestTraceFilesStableOverWarmCache: an instrumented run plans with
+// reuse off, so every job executes and writes its trace even against a
+// cache directory an earlier run filled — two `-fig 10a -trace` runs
+// over one -cache-dir write the same set of per-run trace files.
+func TestTraceFilesStableOverWarmCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traces Fig. 10a at quick scale twice")
+	}
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	var sets [2][]string
+	var outs [2][]byte
+	for i := range sets {
+		traces := filepath.Join(dir, fmt.Sprintf("traces%d", i))
+		if err := os.Mkdir(traces, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = runFigures(t, "-fig", "10a", "-scale", "quick", "-cache-dir", cache,
+			"-trace", filepath.Join(traces, "t.json"), "-trace-buf", "1024")
+		ents, err := os.ReadDir(traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			sets[i] = append(sets[i], e.Name())
+		}
+	}
+	if len(sets[0]) == 0 {
+		t.Fatal("the traced run wrote no trace files")
+	}
+	if !reflect.DeepEqual(sets[0], sets[1]) {
+		t.Errorf("trace files differ between runs over one cache:\n%v\nvs\n%v", sets[0], sets[1])
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("stdout differs between the two traced runs")
 	}
 }

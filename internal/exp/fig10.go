@@ -11,6 +11,7 @@ import (
 // observes the fraction rising toward ~100% (SEEC) and ~50% (mSEEC)
 // past saturation.
 func Fig10a(s Scale) *Table {
+	s = s.resolve()
 	t := &Table{
 		ID:     "fig10a",
 		Title:  "FF packets received (%) vs injection rate — uniform random, 8x8",
@@ -48,6 +49,7 @@ func Fig10a(s Scale) *Table {
 // seekers select packets that were already badly blocked, while the
 // bufferless portion itself is tiny — must reproduce.
 func Fig10b(s Scale) *Table {
+	s = s.resolve()
 	t := &Table{
 		ID:    "fig10b",
 		Title: "Latency breakdown, FF vs regular packets — uniform random, 8x8",
@@ -99,6 +101,7 @@ func Fig10b(s Scale) *Table {
 // so the minimum functional configuration — 4 VCs, the Fig. 8 setup —
 // is used instead; see EXPERIMENTS.md.
 func Fig11(s Scale) *Table {
+	s = s.resolve()
 	t := &Table{
 		ID:     "fig11",
 		Title:  "Network link energy normalized to west-first (8x8 uniform random, 4 VCs)",

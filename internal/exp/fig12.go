@@ -34,6 +34,7 @@ func fig12Variants() []fig12Variant {
 // injection rate for uniform random and transpose at 2 VCs. Both
 // tables' cells fan out as one flat job list.
 func Fig12(s Scale) []*Table {
+	s = s.resolve()
 	pats := []string{"uniform_random", "transpose"}
 	vs := fig12Variants()
 	var cfgs []seec.Config
@@ -78,6 +79,7 @@ func Fig12(s Scale) []*Table {
 // 2 VCs against escape VC with 2, 4, 8 and 16 VCs on an 8x8 mesh.
 // The paper's crossover: escape VC needs 8+ VCs to match SEEC/mSEEC.
 func Fig13(s Scale) []*Table {
+	s = s.resolve()
 	pats := []string{"uniform_random", "transpose"}
 	var out []*Table
 	for _, pat := range pats {

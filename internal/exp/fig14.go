@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"seec"
+	"seec/internal/plan"
 )
 
 // appVariant is one scheme configuration for the application studies.
@@ -64,11 +65,11 @@ type appRun struct {
 	err error
 }
 
-// appResults fans the apps x variants grid out across the worker pool,
+// appResults fans the apps x variants grid out on the planner's pool,
 // returning results in row-major (app, variant) order. Each run's seed
 // derives from its variant coordinates plus the application name.
 func appResults(s Scale, apps []string, vs []appVariant) []appRun {
-	return cells(s, len(apps)*len(vs), func(ctx context.Context, i int) (appRun, error) {
+	return plan.Map(context.Background(), s.Planner, len(apps)*len(vs), func(ctx context.Context, i int) (appRun, error) {
 		app, v := apps[i/len(vs)], vs[i%len(vs)]
 		cfg := appConfig(v)
 		cfg.Seed = cfg.SweepSeed(app)
@@ -80,6 +81,7 @@ func appResults(s Scale, apps []string, vs []appVariant) []appRun {
 // Fig14 regenerates the application study: average packet latency and
 // runtime normalized to XY, per application.
 func Fig14(s Scale) *Table {
+	s = s.resolve()
 	t := &Table{
 		ID:     "fig14",
 		Title:  "Applications on 4x4 mesh: avg packet latency (cycles) and runtime normalized to XY",
@@ -123,6 +125,7 @@ func Fig14(s Scale) *Table {
 // Fig15 regenerates the tail-latency study: maximum packet latency per
 // application (log scale in the paper), including SEEC-XY.
 func Fig15(s Scale) *Table {
+	s = s.resolve()
 	t := &Table{
 		ID:     "fig15",
 		Title:  "Applications on 4x4 mesh: max packet latency (cycles)",

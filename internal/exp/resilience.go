@@ -31,6 +31,7 @@ func resilienceSchemes() []seec.Scheme {
 // derives from the run seed and the fault spec, so the whole table is
 // reproducible cell-by-cell.
 func Resilience(s Scale) *Table {
+	s = s.resolve()
 	schemes := resilienceSchemes()
 	t := &Table{
 		ID:    "resilience",

@@ -1,12 +1,8 @@
 package exp
 
 import (
-	"context"
-	"errors"
 	"strconv"
-	"strings"
 	"testing"
-	"time"
 )
 
 // resScale keeps the resilience sweep (25 cells) test-sized.
@@ -72,63 +68,5 @@ func TestResilienceParallelDeterminism(t *testing.T) {
 	serial := renderAll([]*Table{Resilience(resScale(1))})
 	if got := renderAll([]*Table{Resilience(resScale(4))}); got != serial {
 		t.Fatalf("resilience output differs at workers=4:\n%s", diffLine(serial, got))
-	}
-}
-
-// TestCellsSurvivesPanickingCell: one panicking cell must not abort the
-// figure — its cell renders as the zero value and the rest fill in.
-func TestCellsSurvivesPanickingCell(t *testing.T) {
-	s := Scale{Workers: 2}
-	vals := cells(s, 6, func(_ context.Context, i int) (string, error) {
-		if i == 2 {
-			panic("cell exploded")
-		}
-		return "ok", nil
-	})
-	for i, v := range vals {
-		want := "ok"
-		if i == 2 {
-			want = ""
-		}
-		if v != want {
-			t.Fatalf("vals[%d] = %q, want %q", i, v, want)
-		}
-	}
-}
-
-// TestCellsJobTimeout: a cell exceeding Scale.JobTimeout is cancelled
-// through its context and renders its own error cell.
-func TestCellsJobTimeout(t *testing.T) {
-	s := Scale{Workers: 2, JobTimeout: 10 * time.Millisecond}
-	vals := cells(s, 3, func(ctx context.Context, i int) (string, error) {
-		if i == 1 {
-			<-ctx.Done()
-			return "timed out", ctx.Err()
-		}
-		return "ok", nil
-	})
-	if vals[0] != "ok" || vals[1] != "timed out" || vals[2] != "ok" {
-		t.Fatalf("vals = %v", vals)
-	}
-}
-
-// TestCellsMaxFailures: a positive Scale.MaxFailures trips the breaker;
-// cancelled cells keep their zero value.
-func TestCellsMaxFailures(t *testing.T) {
-	s := Scale{Workers: 1, MaxFailures: 2}
-	ran := 0
-	vals := cells(s, 50, func(_ context.Context, i int) (string, error) {
-		ran++
-		return "cell", errors.New("always fails")
-	})
-	if ran >= 50 {
-		t.Fatalf("breaker never tripped: %d cells ran", ran)
-	}
-	if vals[0] != "cell" {
-		t.Fatalf("failed cell lost its rendered value: %q", vals[0])
-	}
-	// The tail was cancelled before running.
-	if got := strings.Count(strings.Join(vals, "|"), "cell"); got != ran {
-		t.Fatalf("%d rendered cells for %d runs", got, ran)
 	}
 }

@@ -2,11 +2,10 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"seec"
-	"seec/internal/checkpoint"
+	"seec/internal/plan"
 )
 
 // synthCfg builds a synthetic-run config for the standard Fig. 8 setup
@@ -39,18 +38,18 @@ func fig8Patterns() []string {
 // average packet latency in cycles ("sat" once past saturation or
 // stalled). Run with 4 VCs per input port as in the paper. Every cell
 // — across tables, rows and scheme columns — is an independent
-// simulation, so the whole figure fans out as one flat job list.
+// simulation, so the whole figure fans out as one flat job list. With
+// WarmupShare set on the planner, each (mesh, pattern, scheme) curve
+// instead warms one simulation and forks every rate point from the
+// shared warm state; that changes the sampling plan, so the numbers
+// differ statistically from the default.
 func Fig8(s Scale) []*Table {
+	s = s.resolve()
 	schemes := fig8Schemes()
 	pats := fig8Patterns()
-	if s.WarmupShare && s.planner() == nil {
-		// Legacy warmup-fork path. With a planner attached the same
-		// sharing happens through the planner's family grouping below:
-		// row-major submission order puts each curve's members in rate
-		// order, so the family base (mid member) and fork order
-		// reproduce this path's convention byte-for-byte.
-		return fig8Tables(s, schemes, pats, fig8SharedCells(s, schemes, pats))
-	}
+	// Row-major submission (rate before scheme) puts each curve's
+	// members in rate order, so a WarmupShare planner warms each curve
+	// at its middle rate and forks its points in rate order.
 	var cfgs []seec.Config
 	for _, k := range s.MeshSizes {
 		for _, pat := range pats {
@@ -67,94 +66,6 @@ func Fig8(s Scale) []*Table {
 		return latencyCell(res, err)
 	})
 	return fig8Tables(s, schemes, pats, vals)
-}
-
-// fig8SharedCells computes Fig. 8's cells on the warmup-fork path: one
-// job per (mesh, pattern, scheme) curve, each warming a single
-// simulation and forking every rate point from the in-memory checkpoint
-// (Scale.WarmupShare). The returned slice uses the same cell order as
-// the independent path: k-major, then pattern, then rate, then scheme.
-func fig8SharedCells(s Scale, schemes []seec.Scheme, pats []string) []string {
-	type group struct {
-		k   int
-		pat string
-		sc  seec.Scheme
-	}
-	var groups []group
-	for _, k := range s.MeshSizes {
-		for _, pat := range pats {
-			for _, sc := range schemes {
-				groups = append(groups, group{k, pat, sc})
-			}
-		}
-	}
-	forks := make([]seec.Fork, len(s.Rates))
-	for j, rate := range s.Rates {
-		forks[j] = seec.Fork{Rate: rate}
-	}
-	curves := cells(s, len(groups), func(ctx context.Context, i int) ([]string, error) {
-		g := groups[i]
-		cfg := synthCfg(g.sc, g.k, 4, g.pat, s.SimCycles)
-		// Warm at the middle of the sweep so the shared state is a fair
-		// compromise for both ends of the curve.
-		cfg.InjectionRate = s.Rates[len(s.Rates)/2]
-		cfg.Seed = cfg.SweepSeed("warmup-share")
-		cfg.Shards = s.Shards
-		// Forks run serially: the cross-curve fan-out above already fills
-		// the worker pool.
-		results, err := seec.RunSyntheticForkedCtx(ctx, cfg, forks, 1)
-		if errors.Is(err, checkpoint.ErrUnsupported) {
-			// Deflection schemes cannot checkpoint; fall back to the
-			// independent per-rate runs for this curve.
-			return fig8IndependentCurve(ctx, s, g.sc, g.k, g.pat)
-		}
-		if err != nil {
-			row := make([]string, len(s.Rates))
-			for j := range row {
-				row[j] = "err"
-			}
-			return row, err
-		}
-		row := make([]string, len(results))
-		for j, res := range results {
-			row[j] = latencyCell(res, nil)
-		}
-		return row, nil
-	})
-	// Reorder curve-major cells into the row-major cell order the table
-	// assembly expects.
-	vals := make([]string, len(groups)*len(s.Rates))
-	for gi, curve := range curves {
-		k := gi / (len(pats) * len(schemes))
-		rem := gi % (len(pats) * len(schemes))
-		pi, si := rem/len(schemes), rem%len(schemes)
-		for ri := range s.Rates {
-			idx := ((k*len(pats)+pi)*len(s.Rates)+ri)*len(schemes) + si
-			if ri < len(curve) {
-				vals[idx] = curve[ri]
-			}
-		}
-	}
-	return vals
-}
-
-// fig8IndependentCurve runs one curve's rate points as independent
-// simulations with the standard per-point seeding — the WarmupShare
-// fallback for schemes that cannot checkpoint.
-func fig8IndependentCurve(ctx context.Context, s Scale, sc seec.Scheme, k int, pat string) ([]string, error) {
-	row := make([]string, len(s.Rates))
-	var firstErr error
-	for j, rate := range s.Rates {
-		cfg := synthCfg(sc, k, 4, pat, s.SimCycles)
-		cfg.InjectionRate = rate
-		cfg.Seed = cfg.SweepSeed()
-		res, err := s.runSynthetic(ctx, cfg)
-		row[j] = latencyCell(res, err)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return row, firstErr
 }
 
 // fig8Tables folds the flat cell slice (k-major, then pattern, then
@@ -206,6 +117,7 @@ func latencyCell(res seec.Result, err error) string {
 // Fig9 regenerates the saturation-throughput bars for bit rotation and
 // transpose on 4x4 and 8x8 meshes with 1, 2 and 4 VCs per input port.
 func Fig9(s Scale) *Table {
+	s = s.resolve()
 	t := &Table{
 		ID:     "fig9",
 		Title:  "Saturation throughput (packets/node/cycle), latency <= 3x zero-load",
@@ -238,26 +150,17 @@ func Fig9(s Scale) *Table {
 	}
 	// Parallelism lives at the cell level; each cell's saturation
 	// search runs its probes serially (workers=1) so the pool is not
-	// oversubscribed. The search result is identical either way. With a
-	// planner attached, every probe point resolves through its cache:
-	// the search's probe sequence is deterministic, so a repeated
-	// search replays entirely from cached points.
-	vals := cells(s, len(coords), func(ctx context.Context, i int) (string, error) {
+	// oversubscribed. The search result is identical either way. Every
+	// probe point resolves through the planner's cache: the search's
+	// probe sequence is deterministic, so a repeated search replays
+	// entirely from cached points.
+	vals := plan.Map(context.Background(), s.Planner, len(coords), func(ctx context.Context, i int) (string, error) {
 		c := coords[i]
 		if c.sc == seec.SchemeEscape && c.vcs < 2 {
 			return "n/a", nil
 		}
 		cfg := synthCfg(c.sc, c.k, c.vcs, c.pat, s.SatCycles)
-		var sat float64
-		var err error
-		if p := s.planner(); p != nil {
-			sat, _, err = seec.SaturationThroughputWith(ctx, cfg, 1,
-				func(ctx context.Context, c seec.Config) (seec.Result, error) {
-					return p.RunOne(ctx, c, s.runSyntheticDirect)
-				})
-		} else {
-			sat, _, err = seec.SaturationThroughputCtx(ctx, cfg, 1)
-		}
+		sat, _, err := seec.SaturationThroughputWith(ctx, cfg, 1, s.runSynthetic)
 		if err != nil {
 			return "err", err
 		}

@@ -1,8 +1,9 @@
 // Package exp is the experiment harness: one generator per table and
 // figure in the paper's evaluation section (§4). Each generator runs
-// the necessary simulations through the public seec API and returns a
-// Table that cmd/figures renders as aligned text or CSV, and that
-// bench_test.go's per-figure benchmarks execute.
+// the necessary simulations through the public seec API, dispatched by
+// the sweep planner (internal/plan), and returns a Table that
+// cmd/figures renders as aligned text or CSV, and that bench_test.go's
+// per-figure benchmarks execute.
 package exp
 
 import (
@@ -10,11 +11,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"seec"
 	"seec/internal/plan"
-	"seec/internal/telemetry"
 )
 
 // Table is a rendered experiment result.
@@ -112,108 +111,78 @@ type Scale struct {
 	SatCycles    int64     // cycles per point during saturation search
 	MaxAppCycles int64
 
-	// Workers bounds the worker pool the generators fan their
-	// independent simulations out across; 0 selects
+	// Workers bounds the worker pool of the in-memory planner a
+	// generator builds when Planner is nil; 0 selects
 	// runtime.GOMAXPROCS(0). Every job derives its RNG seed from its
 	// own coordinates (Config.SweepSeed), so the rendered tables are
 	// byte-identical at any worker count.
 	Workers int
 
-	// JobTimeout bounds each simulation cell's wall time; a cell past
-	// its deadline is cancelled (the simulator polls its context) and
-	// renders as an error cell. 0 leaves cells unbounded.
-	JobTimeout time.Duration
-
 	// Shards is copied into every launched simulation's Config (see
 	// seec.Config.Shards): intra-run parallelism on top of the
-	// cross-job Workers pool. Sharded runs are byte-identical to serial
+	// cross-job worker pool. Sharded runs are byte-identical to serial
 	// ones, so the rendered tables are unchanged at any value; cap
 	// Workers * Shards near GOMAXPROCS to avoid oversubscription.
 	Shards int
 
-	// MaxFailures arms the sweep circuit breaker: after this many
-	// failed cells the remaining ones are cancelled and render as empty
-	// cells. 0 (the default) drains every cell regardless of failures,
-	// reporting the aggregate on stderr at the end.
-	MaxFailures int
-
 	// Instrument is copied into the Config of every simulation a
 	// generator launches (see seec.Config.Instrument); cmd/figures uses
 	// it to attach tracers, metrics and watchdogs to figure runs.
-	// Observation only — rendered tables are identical either way.
+	// Observation only — rendered tables are identical either way. A
+	// cache hit executes nothing and so runs no hook: pair Instrument
+	// with a NoReuse planner (the nil-Planner default does).
 	Instrument func(*seec.Sim) func()
 
-	// SweepEvents, when non-nil, receives structured job-lifecycle
-	// events from every cell fan-out (runner.WithTelemetry). RunEvents
-	// and HeartbeatEvery are copied into each launched simulation's
-	// Config (see seec.Config.Telemetry), feeding in-run heartbeats to
-	// the same bus. All observation only.
-	SweepEvents    *telemetry.Bus
+	// RunEvents and HeartbeatEvery are copied into each launched
+	// simulation's Config (see seec.Config.Telemetry), feeding in-run
+	// heartbeats to the caller. Observation only.
 	RunEvents      func(*seec.Sim) func(seec.RunEvent)
 	HeartbeatEvery int64
 
-	// Progress, when non-nil, is invoked with monotonic (done, total)
-	// counts as cells complete, at most once per ProgressEvery
-	// (0 = every completion). cmd/figures uses it to print ETA-aware
-	// progress lines during long sweeps.
-	Progress      func(done, total int)
-	ProgressEvery time.Duration
-
-	// WarmupShare switches the rate-sweep generators (Fig. 8) to the
-	// warmup-fork path: each (mesh, pattern, scheme) curve warms up one
-	// simulation, checkpoints it in memory, and forks every rate point
-	// from the shared warm state (seec.RunSyntheticForkedCtx). This
-	// amortizes warmup across the sweep but changes the sampling plan —
-	// forks share warm state and seeds instead of owning independent
-	// SweepSeed streams — so the numbers differ (statistically, not
-	// qualitatively) from the default path. Still deterministic at any
-	// worker count. Deflection schemes are not checkpointable and fall
-	// back to independent runs.
-	WarmupShare bool
-
-	// Planner, when non-nil, routes every simulation a generator
-	// launches through the memoizing sweep planner (internal/plan):
-	// grid generators compile their whole cell list into one
-	// reuse-aware schedule (see simCells), and chokepoint runs
-	// (saturation probes, one-off measurements) resolve through the
-	// planner's cache. The planner's always-on layers — in-batch dedup,
-	// content-addressed memoization, cost-model scheduling — are
-	// byte-identity-preserving, so rendered tables match the direct
-	// path exactly; with WarmupShare also set, rate sweeps additionally
-	// fork from shared warm checkpoints (same sampling-plan caveat as
-	// the legacy Fig-8 path). Ignored while Instrument is attached: a
-	// cache hit executes nothing, so memoized runs would silently skip
-	// producing the instrument's trace artifacts.
+	// Planner routes every simulation a generator launches through the
+	// memoizing sweep planner (internal/plan), which owns the pool
+	// knobs (workers, job timeout, breaker, telemetry bus, progress)
+	// and warmup sharing. Grid generators compile their whole cell list
+	// into one reuse-aware schedule (see simCells); application runs,
+	// saturation probes and one-off measurements run as plan.Map cells
+	// and resolve through the planner's cache. Dedup, memoization and
+	// cost-model scheduling are byte-identity-preserving, so rendered
+	// tables match a NoReuse planner exactly; WarmupShare on the
+	// planner additionally forks rate sweeps from shared warm
+	// checkpoints, which changes the sampling plan. Nil means a fresh
+	// in-memory planner per generator call, sized by Workers and
+	// Shards, with NoReuse set when Instrument is.
 	Planner *plan.Planner
 }
 
-// planner returns the scale's planner, or nil when instrumentation is
-// attached (cache hits execute no simulation, which would silently
-// drop the instrument's per-run file artifacts).
-func (s Scale) planner() *plan.Planner {
-	if s.Instrument != nil {
-		return nil
+// resolve returns s with a planner attached: the caller's, or a fresh
+// in-memory one (see Scale.Planner). Every generator calls it once, so
+// all of a generator's cells share one planner.
+func (s Scale) resolve() Scale {
+	if s.Planner == nil {
+		// Without a cache directory New cannot fail.
+		s.Planner, _ = plan.New(plan.Options{
+			Workers: s.Workers,
+			Shards:  s.Shards,
+			NoReuse: s.Instrument != nil,
+		})
 	}
-	return s.Planner
+	return s
 }
 
-// runSynthetic resolves one synthetic cell: through the planner's
-// content-addressed cache when one is attached (Scale.Planner), else
-// directly. The cache key is computed before instrumentation attaches,
-// matching serve.CacheKey's canonicalization — observation hooks never
-// change a result's bytes, so they must not change its address either.
+// runSynthetic resolves one synthetic cell through the planner's
+// content-addressed cache. The cache key is computed before
+// instrumentation attaches, matching serve.CacheKey's canonicalization
+// — observation hooks never change a result's bytes, so they must not
+// change its address either.
 func (s Scale) runSynthetic(ctx context.Context, cfg seec.Config) (seec.Result, error) {
-	if p := s.planner(); p != nil {
-		return p.RunOne(ctx, cfg, s.runSyntheticDirect)
-	}
-	return s.runSyntheticDirect(ctx, cfg)
+	return s.Planner.RunOne(ctx, cfg, s.runSyntheticDirect)
 }
 
 // runSyntheticDirect is seec.RunSyntheticCtx with the scale's
-// instrumentation attached. Generators call runSynthetic instead of
-// seec.RunSynthetic directly; the context comes from the cell's runner
-// slot, so per-job deadlines and the circuit breaker can interrupt a
-// run between cycles.
+// instrumentation attached: the planner's RunFunc. The context comes
+// from the cell's pool slot, so per-job deadlines and the circuit
+// breaker can interrupt a run between cycles.
 func (s Scale) runSyntheticDirect(ctx context.Context, cfg seec.Config) (seec.Result, error) {
 	cfg.Instrument = s.Instrument
 	cfg.Telemetry = s.RunEvents
@@ -227,17 +196,13 @@ func (s Scale) runSyntheticDirect(ctx context.Context, cfg seec.Config) (seec.Re
 	return seec.RunSyntheticCtx(ctx, cfg)
 }
 
-// runApplication resolves one application run: through the planner's
-// cache (keyed by plan.AppKey — the config plus the workload identity)
-// when one is attached, else directly.
+// runApplication resolves one application run through the planner's
+// cache, keyed by plan.AppKey — the config plus the workload identity.
 func (s Scale) runApplication(ctx context.Context, cfg seec.Config, app string, txns, maxCycles int64) (seec.AppResult, error) {
-	if p := s.planner(); p != nil {
-		return plan.Memoize(ctx, p, plan.AppKey(cfg, app, txns, maxCycles),
-			func(ctx context.Context) (seec.AppResult, error) {
-				return s.runApplicationDirect(ctx, cfg, app, txns, maxCycles)
-			})
-	}
-	return s.runApplicationDirect(ctx, cfg, app, txns, maxCycles)
+	return plan.Memoize(ctx, s.Planner, plan.AppKey(cfg, app, txns, maxCycles),
+		func(ctx context.Context) (seec.AppResult, error) {
+			return s.runApplicationDirect(ctx, cfg, app, txns, maxCycles)
+		})
 }
 
 // runApplicationDirect is seec.RunApplicationCtx with the scale's

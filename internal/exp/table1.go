@@ -16,6 +16,7 @@ import (
 // deadlock-prone workload; "protocol deadlock freedom" means
 // completing a coherence workload without per-class virtual networks.
 func Table1(s Scale) *Table {
+	s = s.resolve()
 	t := &Table{
 		ID:    "table1",
 		Title: "Qualitative comparison, verified empirically (Y/N as measured)",
@@ -43,7 +44,7 @@ func Table1(s Scale) *Table {
 	// Three independent measurements per scheme; fan the whole grid out.
 	measures := []func(context.Context, seec.Scheme, Scale) bool{
 		measureNoMisroute, measureRoutingDLFree, measureProtocolDLFree}
-	verdicts := cells(s, len(entries)*len(measures), func(ctx context.Context, i int) (bool, error) {
+	verdicts := plan.Map(context.Background(), s.Planner, len(entries)*len(measures), func(ctx context.Context, i int) (bool, error) {
 		return measures[i%len(measures)](ctx, entries[i/len(measures)].scheme, s), nil
 	})
 	for i, e := range entries {
@@ -86,7 +87,7 @@ func measureRoutingDLFree(ctx context.Context, scheme seec.Scheme, s Scale) bool
 	cfg := synthCfg(scheme, 4, 2, "uniform_random", s.SimCycles)
 	cfg.InjectionRate = 0.40
 	cfg.Seed = cfg.SweepSeed()
-	ok, err := plan.Memoize(ctx, s.planner(), plan.MeasKey("routing-dl-free/stall4000", cfg),
+	ok, err := plan.Memoize(ctx, s.Planner, plan.MeasKey("routing-dl-free/stall4000", cfg),
 		func(ctx context.Context) (bool, error) {
 			sim, err := seec.NewSim(cfg)
 			if err != nil {

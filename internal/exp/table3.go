@@ -16,6 +16,7 @@ import (
 // on the scheme), then measuring seek statistics and the time to drain
 // the wedged network once injection stops.
 func Table3(s Scale) *Table {
+	s = s.resolve()
 	t := &Table{
 		ID:    "table3",
 		Title: "SEEC vs mSEEC: measured seek time and saturated-drain time (single VC, adaptive routing)",
@@ -36,12 +37,12 @@ func Table3(s Scale) *Table {
 		MaxSeek int64
 		Drain   int64
 	}
-	rows := cells(s, len(sizes)*len(schemes), func(ctx context.Context, i int) ([]any, error) {
+	rows := plan.Map(context.Background(), s.Planner, len(sizes)*len(schemes), func(ctx context.Context, i int) ([]any, error) {
 		k, sc := sizes[i/len(schemes)], schemes[i%len(schemes)]
 		cfg := synthCfg(sc, k, 1, "uniform_random", s.SimCycles)
 		cfg.InjectionRate = 0.5 // drive deep into saturation: deadlocks form
 		cfg.Seed = cfg.SweepSeed()
-		m, err := plan.Memoize(ctx, s.planner(), plan.MeasKey("table3-drain/pause3000-deadline5e6", cfg),
+		m, err := plan.Memoize(ctx, s.Planner, plan.MeasKey("table3-drain/pause3000-deadline5e6", cfg),
 			func(ctx context.Context) (drainMeas, error) {
 				sim, err := seec.NewSim(cfg)
 				if err != nil {

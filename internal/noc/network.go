@@ -134,7 +134,6 @@ type Network struct {
 	// expose the previous cycle's active lists to the delivery stage.
 	shards           []*shardState
 	pool             *shardPool
-	finalizerSet     bool
 	stageParallel    bool
 	vaParallel       bool
 	injStage         bool

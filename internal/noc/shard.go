@@ -280,9 +280,9 @@ func (p *shardPool) run(fn func(int)) {
 		}
 		p.doneMu.Unlock()
 	}
-	// Drop the stage reference between cycles: workers must not keep
-	// the Network reachable while the pool idles (the finalizer backstop
-	// relies on this).
+	// Drop the stage reference between cycles: idle workers must not
+	// keep the Network reachable, so a network discarded without
+	// StopWorkers strands only its parked workers, not its state.
 	p.mu.Lock()
 	p.stage = nil
 	p.mu.Unlock()
@@ -419,8 +419,7 @@ func (n *Network) Shards() int {
 // StopWorkers terminates the sharded worker pool, if one is running.
 // Safe to call at any point between cycles and more than once; the next
 // sharded Step transparently starts a fresh pool. Call it when a
-// sharded network is done to release the goroutines promptly (a
-// finalizer backstop eventually does it for forgotten networks).
+// sharded network is done: nothing else stops the workers.
 func (n *Network) StopWorkers() {
 	if n.pool != nil {
 		n.pool.stop()
@@ -460,12 +459,6 @@ func (n *Network) stepSharded() {
 			return
 		}
 		n.pool = newShardPool(len(n.shards))
-		if !n.finalizerSet {
-			// Once per network: re-enabling sharding after StopWorkers
-			// builds a fresh pool, but a finalizer may only be set once.
-			n.finalizerSet = true
-			runtime.SetFinalizer(n, (*Network).finalize)
-		}
 	}
 	n.Cycle++
 	faulted := n.Faults != nil
@@ -781,11 +774,6 @@ func (n *Network) mergeShards() {
 		sh.linkFlits = sh.linkFlits[:0]
 	}
 }
-
-// finalize is the GC backstop for networks discarded without
-// StopWorkers; the pool's stage pointer is nil between cycles, so the
-// workers never keep the Network itself reachable.
-func (n *Network) finalize() { n.StopWorkers() }
 
 // trySkip attempts an idle fast-forward: if nothing in the system can
 // change state before the next scheduled event, jump Cycle to

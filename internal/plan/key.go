@@ -3,7 +3,6 @@ package plan
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -12,10 +11,12 @@ import (
 )
 
 // Cache-key provenance. Every payload the planner stores is addressed
-// by a 64-hex SHA-256 content key compatible with the PR 9 result
-// store (serve.ValidKey), and every key mixes in
-// serve.ResultFormatVersion so a payload-format bump invalidates the
-// whole family of derived keys at once. Four key spaces exist:
+// by a 64-hex SHA-256 content key compatible with the serve result
+// store (serve.ValidKey), every key mixes in serve.ResultFormatVersion
+// so a payload-format bump invalidates the whole family of derived
+// keys at once, and every key hashes the one canonical config encoding
+// (seec.Config.CanonicalJSON), so all spaces agree on what a config
+// is. Four key spaces exist:
 //
 //	seec-result/v1   ordinary runs — exactly serve.CacheKey, so a
 //	                 sweep point planned here shares its cache entry
@@ -34,20 +35,6 @@ import (
 //	                 studies) that are functions of a run but not
 //	                 seec.Result payloads; the measurement name keys
 //	                 the derivation.
-func canonicalConfig(cfg seec.Config) []byte {
-	// Mirror serve.CacheKey's canonicalization: Shards is a pure speed
-	// knob with byte-identical results, and the operational fields are
-	// excluded by Config's own JSON contract.
-	cfg.Shards = 0
-	cfg.Instrument = nil
-	cfg.Telemetry = nil
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		// Config is a flat struct of basic types; Marshal cannot fail.
-		panic("plan: canonical config: " + err.Error())
-	}
-	return b
-}
 
 // Key returns the content address of a job's result: serve.CacheKey of
 // the configuration the job will actually execute (seed derived first
@@ -65,7 +52,7 @@ func Key(j Job) string {
 func forkKey(base seec.Config, rate float64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seec-forked/v%d\n", serve.ResultFormatVersion)
-	h.Write(canonicalConfig(base))
+	h.Write(base.CanonicalJSON())
 	fmt.Fprintf(h, "\nrate=%016x\n", math.Float64bits(rate))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -75,7 +62,7 @@ func forkKey(base seec.Config, rate float64) string {
 func AppKey(cfg seec.Config, app string, txns, maxCycles int64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seec-app/v%d\n%s\n%d %d\n", serve.ResultFormatVersion, app, txns, maxCycles)
-	h.Write(canonicalConfig(cfg))
+	h.Write(cfg.CanonicalJSON())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -86,7 +73,7 @@ func AppKey(cfg seec.Config, app string, txns, maxCycles int64) string {
 func MeasKey(name string, cfg seec.Config) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seec-meas/v%d\n%s\n", serve.ResultFormatVersion, name)
-	h.Write(canonicalConfig(cfg))
+	h.Write(cfg.CanonicalJSON())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -96,5 +83,5 @@ func MeasKey(name string, cfg seec.Config) string {
 // two sweeps with different base seeds never share a family.
 func familyKey(cfg seec.Config) string {
 	cfg.InjectionRate = 0
-	return string(canonicalConfig(cfg))
+	return string(cfg.CanonicalJSON())
 }

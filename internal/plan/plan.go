@@ -15,12 +15,10 @@
 //  2. Warmup-prefix sharing (opt-in, WarmupShare). Jobs that agree on
 //     everything except injection rate form a family; the family pays
 //     its warmup once and forks each member from the warm checkpoint
-//     (seec.RunSyntheticForked), generalizing the Fig-8-only
-//     -warmup-share path to every sweep. Like that path, sharing
-//     changes the sampling plan (shared warm state and seed per
-//     family), so it is a flag, not a default. Non-forkable schemes
-//     (deflection: CHIPPER, MinBD) run independently, exactly like
-//     the legacy fallback.
+//     (seec.RunSyntheticForked), for every sweep. Sharing changes the
+//     sampling plan (shared warm state and seed per family), so it is
+//     a flag, not a default. Non-forkable schemes (deflection:
+//     CHIPPER, MinBD) run independently.
 //
 //  3. Cost-model scheduling. Each execution unit's cost is estimated
 //     as (cycles x mesh nodes) scaled by an EWMA of observed
@@ -32,14 +30,23 @@
 // Reuse layers 1 and 3 are byte-identity-preserving: results are
 // indexed by job, cached payloads are the canonical JSON encoding
 // (float64 fields round-trip exactly), and scheduling order never
-// leaks into results. A driver run with planning on renders the same
-// bytes as one with planning off.
+// leaks into results. A driver run with reuse on renders the same
+// bytes as one with NoReuse set.
+//
+// The planner is the drivers' only dispatcher. Run takes grids of
+// synthetic Jobs; Map takes every other batch (application runs,
+// saturation searches, derived measurements), whose cells resolve
+// through RunOne or Memoize. Both execute on one worker pool
+// configured by the planner's Options.
 package plan
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -79,9 +86,9 @@ func (j Job) exec() seec.Config {
 }
 
 // Outcome is one job's resolution. Done is false only when the batch
-// was cancelled (context or breaker) before the job executed — the
-// caller renders such cells as zero values, matching the legacy
-// direct-fan-out behavior.
+// was cancelled (context or breaker) before the job executed, or when
+// its execution panicked — the caller renders such cells as zero
+// values.
 type Outcome struct {
 	Result seec.Result
 	Err    error
@@ -95,10 +102,11 @@ type Options struct {
 	// Shards is the intra-run shard count applied to warmup-family
 	// base runs (members inherit it through the fork).
 	Shards int
-	// JobTimeout bounds each execution unit (<= 0: unbounded).
+	// JobTimeout bounds each execution unit and each Map cell (<= 0:
+	// unbounded).
 	JobTimeout time.Duration
-	// MaxFailures trips the breaker after k failed units (<= 0: drain
-	// everything and report per job).
+	// MaxFailures trips the breaker after k failed units or cells
+	// (<= 0: drain everything and report per job).
 	MaxFailures int
 	// WarmupShare turns on warmup-prefix family forking. Off by
 	// default: sharing changes the sampling plan, so results differ
@@ -119,14 +127,15 @@ type Options struct {
 	// Agg, when set, seeds the cost model's ns-per-(cycle*node) rate
 	// from its completed-job latency average.
 	Agg *telemetry.Aggregator
-	// Progress mirrors runner.WithProgress over execution units.
+	// Progress mirrors runner.WithProgress over execution units and
+	// Map cells.
 	Progress      func(done, total int)
 	ProgressEvery time.Duration
 }
 
 // Stats counts what the planner did across its lifetime.
 type Stats struct {
-	Jobs              int64 // jobs submitted via Run/RunOne/Memoize computes
+	Jobs              int64 // jobs submitted via Run/RunOne/Memoize (Map adds none)
 	Deduped           int64 // in-batch duplicates collapsed
 	MemHits           int64 // resolved from the in-process LRU
 	StoreHits         int64 // resolved from the persistent store
@@ -147,8 +156,8 @@ func (s Stats) Reused() int64 { return s.Deduped + s.MemHits + s.StoreHits }
 const defaultNsPerCost = 625.0
 
 // Planner is the reuse-aware scheduler. All methods are safe for
-// concurrent use; a nil *Planner is valid and degrades every call to
-// its direct, uncached equivalent.
+// concurrent use. A planner with NoReuse set is the uncached baseline:
+// every job executes.
 type Planner struct {
 	opts  Options
 	store *serve.Store
@@ -178,9 +187,6 @@ func New(o Options) (*Planner, error) {
 
 // Stats returns a snapshot of the lifetime counters.
 func (p *Planner) Stats() Stats {
-	if p == nil {
-		return Stats{}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
@@ -308,12 +314,8 @@ func forkable(s seec.Scheme) bool {
 
 // RunOne resolves a single already-derived configuration through the
 // cache, simulating via run on a miss. The chokepoint path for
-// irregular sweeps (saturation probes, one-off measurement runs). A
-// nil planner just runs.
+// irregular sweeps (saturation probes, one-off measurement runs).
 func (p *Planner) RunOne(ctx context.Context, cfg seec.Config, run RunFunc) (seec.Result, error) {
-	if p == nil {
-		return run(ctx, cfg)
-	}
 	p.bump(func(s *Stats) { s.Jobs++ })
 	key := serve.CacheKey(cfg)
 	if b, ok := p.lookup(key); ok {
@@ -338,11 +340,8 @@ func (p *Planner) RunOne(ctx context.Context, cfg seec.Config, run RunFunc) (see
 // are not seec.Result payloads (application runs, derived
 // measurements); values must round-trip JSON exactly for reuse to be
 // byte-identity-preserving. Compute errors are returned uncached, so
-// a cancelled run is never served later. A nil planner just computes.
+// a cancelled run is never served later.
 func Memoize[T any](ctx context.Context, p *Planner, key string, compute func(ctx context.Context) (T, error)) (T, error) {
-	if p == nil {
-		return compute(ctx)
-	}
 	p.bump(func(s *Stats) { s.Jobs++ })
 	if b, ok := p.lookup(key); ok {
 		var v T
@@ -365,22 +364,12 @@ func Memoize[T any](ctx context.Context, p *Planner, key string, compute func(ct
 // it: dedup identical jobs, probe the cache, group the remainder into
 // warmup families (when WarmupShare is on), sort execution units
 // longest-expected-first, and fan out on the runner pool. The returned
-// slice is indexed by job. A nil planner degrades to a serial
-// uncached loop.
+// slice is indexed by job. Failed jobs are reported on stderr (see
+// reportFailures).
 func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	n := len(jobs)
 	outs := make([]Outcome, n)
 	if n == 0 {
-		return outs
-	}
-	if p == nil {
-		for i := range jobs {
-			if ctx.Err() != nil {
-				break
-			}
-			res, err := run(ctx, jobs[i].exec())
-			outs[i] = Outcome{Result: res, Err: err, Done: true}
-		}
 		return outs
 	}
 	p.bump(func(s *Stats) { s.Jobs += int64(n) })
@@ -392,9 +381,9 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 
 	// Layer 1: warmup families. Grouping runs over the raw batch so
 	// the member order — and with it the base (mid-rate) member and
-	// the fork order — matches the submission order exactly, which is
-	// what makes the planner's shared path byte-identical to the
-	// legacy Fig-8 fig8SharedCells convention.
+	// the fork order — follows the submission order exactly: a rate
+	// sweep submitted in rate order warms at its middle rate and forks
+	// in rate order (pinned by TestPlannerWarmupShareMatchesLegacy).
 	famOf := make([]int, n)
 	for i := range famOf {
 		famOf[i] = -1
@@ -541,39 +530,125 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 		return outs
 	}
 
-	mf := p.opts.MaxFailures
-	if mf <= 0 {
-		mf = len(units) + 1 // never trip: drain and report per job
-	}
-	ropts := []runner.Option{
-		runner.WithWorkers(p.opts.Workers),
-		runner.WithMaxFailures(mf),
-		runner.WithTelemetry(p.opts.Bus),
-	}
-	if p.opts.JobTimeout > 0 {
-		ropts = append(ropts, runner.WithJobTimeout(p.opts.JobTimeout))
-	}
-	if p.opts.Progress != nil {
-		ropts = append(ropts, runner.WithProgress(p.opts.Progress),
-			runner.WithProgressThrottle(p.opts.ProgressEvery))
-	}
-	// The aggregate error is ignored deliberately: outcomes carry the
-	// per-job errors, and cancelled (never-executed) jobs stay
-	// Done=false for the caller to render as zero cells.
-	runner.Map(ctx, len(units), func(ctx context.Context, ui int) (struct{}, error) {
+	// Outcomes carry the per-job errors; cancelled (never-executed)
+	// jobs stay Done=false for the caller to render as zero cells.
+	_, err := runner.Map(ctx, len(units), func(ctx context.Context, ui int) (struct{}, error) {
 		u := units[ui]
 		if u.fam < 0 {
 			return struct{}{}, p.execIndependent(ctx, u.jobs[0], exec, keys, outs, run)
 		}
 		return struct{}{}, p.execFamily(ctx, fams[u.fam], u.jobs, exec, keys, outs, run)
-	}, ropts...)
+	}, p.runnerOptions(len(units))...)
 
 	for l, fs := range followers {
 		for _, i := range fs {
 			outs[i] = outs[l]
 		}
 	}
+	// A failed unit stands for its jobs and their followers; each one
+	// that did not complete cleanly reports its own cause (a family
+	// fallback can fail some members and not others), or the unit's
+	// when it never recorded one (a panic).
+	reportFailures(os.Stderr, err, n, func(f *runner.JobError) []failure {
+		var fails []failure
+		for _, l := range units[f.Index].jobs {
+			for _, i := range append([]int{l}, followers[l]...) {
+				o := outs[i]
+				if o.Done && o.Err == nil {
+					continue
+				}
+				cause := o.Err
+				if cause == nil {
+					cause = f.Unwrap()
+				}
+				fails = append(fails, failure{i, f.Attempts, f.Elapsed, cause})
+			}
+		}
+		return fails
+	})
 	return outs
+}
+
+// Map fans n independent cells out on the planner's worker pool and
+// returns their values in cell order: the batch entry for work that is
+// not a grid of synthetic Jobs (application runs, saturation searches,
+// derived measurements), whose cells resolve through RunOne or Memoize
+// inside fn. Callers render per-cell failures into the cell itself (a
+// table shows "err", not an abort), so a failing fn returns BOTH its
+// rendered value and the error: the value is kept, the error feeds the
+// pool's failure accounting. The pool drains by default; a positive
+// Options.MaxFailures arms the breaker, and cells it cancels keep their
+// zero value, as do panicking cells (recovered by the pool). Failures
+// are reported on stderr (see reportFailures). Map adds nothing to
+// Stats: the RunOne and Memoize calls inside the cells do the counting.
+func Map[T any](ctx context.Context, p *Planner, n int, fn func(ctx context.Context, i int) (T, error)) []T {
+	out := make([]T, n)
+	_, err := runner.Map(ctx, n, func(ctx context.Context, i int) (struct{}, error) {
+		v, err := fn(ctx, i)
+		out[i] = v // kept even on error: fn renders its own failure cell
+		return struct{}{}, err
+	}, p.runnerOptions(n)...)
+	reportFailures(os.Stderr, err, n, func(f *runner.JobError) []failure {
+		return []failure{{f.Index, f.Attempts, f.Elapsed, f.Unwrap()}}
+	})
+	return out
+}
+
+// runnerOptions is the worker-pool configuration Run and Map share,
+// over a batch of n runner jobs. MaxFailures <= 0 means "never trip":
+// the batch drains and failures are reported at the end.
+func (p *Planner) runnerOptions(n int) []runner.Option {
+	mf := p.opts.MaxFailures
+	if mf <= 0 {
+		mf = n + 1
+	}
+	ropts := []runner.Option{
+		runner.WithWorkers(p.opts.Workers),
+		runner.WithJobTimeout(p.opts.JobTimeout),
+		runner.WithMaxFailures(mf),
+		runner.WithTelemetry(p.opts.Bus),
+	}
+	if p.opts.Progress != nil {
+		ropts = append(ropts, runner.WithProgress(p.opts.Progress),
+			runner.WithProgressThrottle(p.opts.ProgressEvery))
+	}
+	return ropts
+}
+
+// failure is one failed job as reported: its index in the caller's
+// batch, the attempts and wall time its runner job spent, and the
+// underlying cause.
+type failure struct {
+	job      int
+	attempts int
+	elapsed  time.Duration
+	cause    error
+}
+
+// reportFailures prints a batch failure so each "err" cell has
+// diagnosable context: one line per failed job with its index, attempt
+// count, elapsed wall time and cause, then the aggregate over total
+// jobs. jobsOf maps one failed runner job to the failed batch jobs it
+// stands for. A non-sweep error (context cancellation) prints as-is.
+func reportFailures(w io.Writer, err error, total int, jobsOf func(*runner.JobError) []failure) {
+	if err == nil {
+		return
+	}
+	var se *runner.SweepError
+	if !errors.As(err, &se) {
+		fmt.Fprintln(w, "plan:", err)
+		return
+	}
+	var fails []failure
+	for _, f := range se.Failures {
+		fails = append(fails, jobsOf(f)...)
+	}
+	sort.Slice(fails, func(a, b int) bool { return fails[a].job < fails[b].job })
+	for _, f := range fails {
+		fmt.Fprintf(w, "plan: job %d failed after %d attempt(s) in %v: %v\n",
+			f.job, f.attempts, f.elapsed.Round(time.Millisecond), f.cause)
+	}
+	fmt.Fprintf(w, "plan: %d/%d jobs failed\n", len(fails), total)
 }
 
 // execIndependent runs one cache-missed job and writes it back.
@@ -656,7 +731,7 @@ func (p *Planner) execFamily(ctx context.Context, f *family, missing []int, exec
 // json). A no-op without a cache directory: a purely in-process cache
 // leaves nothing on disk to describe.
 func (p *Planner) WriteManifest(tool string, args []string) error {
-	if p == nil || p.store == nil {
+	if p.store == nil {
 		return nil
 	}
 	s := p.Stats()

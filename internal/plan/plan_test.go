@@ -2,10 +2,14 @@ package plan
 
 import (
 	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"seec"
 	"seec/internal/serve"
@@ -235,5 +239,155 @@ func TestMemoizeErrorNotCached(t *testing.T) {
 	})
 	if err != nil || v != 42 || calls != 2 {
 		t.Fatalf("cached v=%d err=%v calls=%d, want 42/nil/2", v, err, calls)
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected and returns what it
+// wrote there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = orig }()
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	f()
+	w.Close()
+	return string(<-done)
+}
+
+// TestMapSurvivesPanickingCell: one panicking cell must not abort the
+// batch — its cell keeps the zero value, the rest fill in, and the
+// panic is reported.
+func TestMapSurvivesPanickingCell(t *testing.T) {
+	p, err := New(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vals []string
+	out := captureStderr(t, func() {
+		vals = Map(context.Background(), p, 6, func(_ context.Context, i int) (string, error) {
+			if i == 2 {
+				panic("cell exploded")
+			}
+			return "ok", nil
+		})
+	})
+	for i, v := range vals {
+		want := "ok"
+		if i == 2 {
+			want = ""
+		}
+		if v != want {
+			t.Fatalf("vals[%d] = %q, want %q", i, v, want)
+		}
+	}
+	if !strings.Contains(out, "plan: job 2 failed after 1 attempt(s)") || !strings.Contains(out, "cell exploded") {
+		t.Errorf("panic not reported with its context:\n%s", out)
+	}
+}
+
+// TestMapJobTimeout: a cell exceeding Options.JobTimeout is cancelled
+// through its context and keeps its own rendered error value.
+func TestMapJobTimeout(t *testing.T) {
+	p, err := New(Options{Workers: 2, JobTimeout: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vals []string
+	captureStderr(t, func() {
+		vals = Map(context.Background(), p, 3, func(ctx context.Context, i int) (string, error) {
+			if i == 1 {
+				<-ctx.Done()
+				return "timed out", ctx.Err()
+			}
+			return "ok", nil
+		})
+	})
+	if vals[0] != "ok" || vals[1] != "timed out" || vals[2] != "ok" {
+		t.Fatalf("vals = %v", vals)
+	}
+}
+
+// TestMapMaxFailures: a positive Options.MaxFailures trips the
+// breaker; cancelled cells keep their zero value, and Map adds nothing
+// to the planner's Stats.
+func TestMapMaxFailures(t *testing.T) {
+	p, err := New(Options{Workers: 1, MaxFailures: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	var vals []string
+	captureStderr(t, func() {
+		vals = Map(context.Background(), p, 50, func(_ context.Context, i int) (string, error) {
+			ran++
+			return "cell", errors.New("always fails")
+		})
+	})
+	if ran >= 50 {
+		t.Fatalf("breaker never tripped: %d cells ran", ran)
+	}
+	if vals[0] != "cell" {
+		t.Fatalf("failed cell lost its rendered value: %q", vals[0])
+	}
+	// The tail was cancelled before running.
+	if got := strings.Count(strings.Join(vals, "|"), "cell"); got != ran {
+		t.Fatalf("%d rendered cells for %d runs", got, ran)
+	}
+	if st := p.Stats(); st != (Stats{}) {
+		t.Errorf("Map changed the planner's stats: %+v", st)
+	}
+}
+
+// TestRunReportsFailedJobs: Run's failures print one stderr line per
+// failed job — job index (not the execution-unit index), attempt
+// count, elapsed time and cause — including in-batch duplicates of a
+// failed job, then the aggregate over the whole batch.
+func TestRunReportsFailedJobs(t *testing.T) {
+	p, err := New(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []Job{
+		{Cfg: smallCfg(0.05), DeriveSeed: true},
+		{Cfg: smallCfg(0.30), DeriveSeed: true},
+		{Cfg: smallCfg(0.10), DeriveSeed: true},
+		{Cfg: smallCfg(0.30), DeriveSeed: true}, // duplicate of job 1
+	}
+	boom := errors.New("rate rejected")
+	var outs []Outcome
+	out := captureStderr(t, func() {
+		outs = p.Run(context.Background(), jobs, func(ctx context.Context, cfg seec.Config) (seec.Result, error) {
+			if cfg.InjectionRate == 0.30 {
+				return seec.Result{}, boom
+			}
+			return directRun(ctx, cfg)
+		})
+	})
+	for i, o := range outs {
+		if wantErr := i == 1 || i == 3; (o.Err != nil) != wantErr || !o.Done {
+			t.Errorf("job %d: done=%v err=%v", i, o.Done, o.Err)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want 3 report lines, got:\n%s", out)
+	}
+	for li, job := range []string{"1", "3"} {
+		prefix := "plan: job " + job + " failed after 1 attempt(s) in "
+		if !strings.HasPrefix(lines[li], prefix) || !strings.HasSuffix(lines[li], ": rate rejected") {
+			t.Errorf("line %d = %q, want %q...: rate rejected", li, lines[li], prefix)
+		}
+	}
+	if lines[2] != "plan: 2/4 jobs failed" {
+		t.Errorf("aggregate line = %q", lines[2])
 	}
 }

@@ -20,27 +20,19 @@ const ResultFormatVersion = 1
 
 // CacheKey is the canonical content address of one run's result: the
 // SHA-256 of the result format version and the canonical JSON of the
-// run's semantic configuration. The canonicalization is the
-// CheckpointHash one — Shards zeroed (a pure speed knob with
-// byte-identical results), operational fields (checkpoint paths,
-// instrumentation, telemetry) excluded by the Config's own JSON
+// run's semantic configuration (seec.Config.CanonicalJSON, the
+// encoding CheckpointHash also hashes) — Shards zeroed (a pure speed
+// knob with byte-identical results), operational fields (checkpoint
+// paths, instrumentation, telemetry) excluded by the Config's own JSON
 // contract — so everything that can change result bytes participates:
 // scheme, routing, topology shape, VC shape, seed, traffic pattern and
 // rate, cycle counts, the fault spec, StopCI. Two configs with equal
 // keys produce byte-identical result payloads; two with different
 // semantics get different keys.
 func CacheKey(cfg seec.Config) string {
-	cfg.Shards = 0
-	cfg.Instrument = nil // json:"-", but zeroed for clarity
-	cfg.Telemetry = nil
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		// Config is a flat struct of basic types; Marshal cannot fail.
-		panic("serve: cache key: " + err.Error())
-	}
 	h := sha256.New()
 	fmt.Fprintf(h, "seec-result/v%d\n", ResultFormatVersion)
-	h.Write(b)
+	h.Write(cfg.CanonicalJSON())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -345,11 +345,11 @@ func (s *Sim) Run(n int64) {
 	}
 }
 
-// Close releases the sharded worker pool, if any. Optional — a GC
-// finalizer eventually reclaims forgotten pools — but deterministic
-// cleanup keeps goroutine counts flat in sweeps that build thousands
-// of Sims. Safe to call more than once; the Sim remains usable (the
-// next sharded Step starts a fresh pool).
+// Close releases the sharded worker pool, if any. Call it when a
+// sharded Sim is done: nothing else stops the workers, and a sweep
+// that builds thousands of Sims would otherwise accumulate them. Safe
+// to call more than once; the Sim remains usable (the next sharded
+// Step starts a fresh pool).
 func (s *Sim) Close() {
 	if s.Net != nil {
 		s.Net.StopWorkers()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"seec"
@@ -171,4 +172,41 @@ func FuzzShardedIdentity(f *testing.F) {
 		}
 		requireIdentical(t, cfg, shards)
 	})
+}
+
+// TestClosedShardedSimsAreCollected: a Closed sharded Sim must be
+// garbage. The network binds its stage functions as method values, so
+// it is a reference cycle, and the GC never collects a cycle that
+// carries a finalizer: no object of it may set one. Pinned to
+// GOMAXPROCS=2 because single-CPU processes never start the worker
+// pool (they delegate to the serial step).
+func TestClosedShardedSimsAreCollected(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < 10; i++ {
+		cfg := seec.DefaultConfig()
+		cfg.Rows, cfg.Cols = 16, 16
+		cfg.Scheme = seec.SchemeSEEC
+		cfg.InjectionRate = 0.05
+		cfg.Shards = 2
+		sim, err := seec.NewSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(50) // starts the worker pool
+		sim.Close()
+	}
+	after := heap()
+	const bound = 1 << 20
+	if after > before && after-before > bound {
+		t.Fatalf("10 closed 16x16 sharded Sims retain %.1f MB after GC, want <= 1 MB",
+			float64(after-before)/(1<<20))
+	}
 }
